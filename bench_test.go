@@ -7,6 +7,7 @@ package ccube_test
 // evaluation and records the measured values alongside the harness cost.
 
 import (
+	"context"
 	"testing"
 
 	"ccube/internal/autotune"
@@ -435,7 +436,7 @@ func BenchmarkExtHalvingDoubling(b *testing.B) {
 func BenchmarkExtAutotune(b *testing.B) {
 	g := dgx1()
 	for i := 0; i < b.N; i++ {
-		if _, err := autotune.Best(g, 64<<20, autotune.Latency, false); err != nil {
+		if _, err := autotune.BestWith(context.Background(), g, 64<<20, autotune.Options{Objective: autotune.Latency}); err != nil {
 			b.Fatal(err)
 		}
 	}

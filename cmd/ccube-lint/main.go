@@ -4,11 +4,11 @@
 // of each package; this command only parses flags, selects a reporter, and
 // maps outcomes to exit codes.
 //
-// The twelve rules (see `ccube-lint -rules` or internal/lint's rule files):
+// The ten rules (see `ccube-lint -rules` or internal/lint's rule files):
 //
 //	no-sleep, lock-pairing, kernel-goroutine, des-hot-alloc, server-ctx,
 //	ctx-propagation, goroutine-leak, metrics-cardinality, virtual-time,
-//	unchecked-engine-err, repair-verify, synth-verify
+//	unchecked-engine-err
 //
 // Inline suppressions: `//lint:ignore <rule> <reason>` on the offending
 // line or the line above. The reason is mandatory.

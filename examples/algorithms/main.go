@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -39,7 +40,7 @@ func main() {
 			t.AddRow(alg.String(), report.Time(res.Total), report.GBps(res.Bandwidth()),
 				report.Time(res.Turnaround), fmt.Sprintf("%v", res.InOrder))
 		}
-		best, err := autotune.Best(sys.Graph, n, autotune.Latency, false)
+		best, err := autotune.BestWith(context.Background(), sys.Graph, n, autotune.Options{Objective: autotune.Latency})
 		if err != nil {
 			log.Fatal(err)
 		}

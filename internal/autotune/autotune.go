@@ -199,62 +199,3 @@ func BestWith(ctx context.Context, g *topology.Graph, bytes int64, opts Options)
 	}
 	return ranked[0], nil
 }
-
-// Candidates returns every built-in algorithm evaluated on the topology.
-//
-// Deprecated: use CandidatesWith, which replaces the positional bools with
-// Options and can also evaluate the synthesis candidate.
-func Candidates(g *topology.Graph, bytes int64, allowShared bool) []Candidate {
-	out, _ := CandidatesCtx(context.Background(), g, bytes, allowShared)
-	return out
-}
-
-// CandidatesCtx is Candidates under a cancellation context.
-//
-// Deprecated: use CandidatesWith.
-func CandidatesCtx(ctx context.Context, g *topology.Graph, bytes int64, allowShared bool) ([]Candidate, error) {
-	return CandidatesWith(ctx, g, bytes, Options{AllowShared: allowShared})
-}
-
-// Select returns the runnable candidates ranked best-first under the
-// objective, with channel sharing off.
-//
-// Deprecated: use SelectWith; Select and SelectCtx drifted into
-// incompatible signatures (Select cannot spell allowShared at all).
-func Select(g *topology.Graph, bytes int64, o Objective, requireInOrder bool) ([]Candidate, error) {
-	return SelectCtx(context.Background(), g, bytes, o, requireInOrder, false)
-}
-
-// SelectCtx is Select under a cancellation context, additionally exposing
-// the allow-shared-channels knob.
-//
-// Deprecated: use SelectWith.
-func SelectCtx(ctx context.Context, g *topology.Graph, bytes int64, o Objective, requireInOrder, allowShared bool) ([]Candidate, error) {
-	return SelectWith(ctx, g, bytes, Options{
-		Objective:      o,
-		RequireInOrder: requireInOrder,
-		AllowShared:    allowShared,
-	})
-}
-
-// Best returns only the winner.
-//
-// Deprecated: use BestWith.
-func Best(g *topology.Graph, bytes int64, o Objective, requireInOrder bool) (Candidate, error) {
-	ranked, err := Select(g, bytes, o, requireInOrder)
-	if err != nil {
-		return Candidate{}, err
-	}
-	return ranked[0], nil
-}
-
-// BestCtx returns only the winner, under a cancellation context.
-//
-// Deprecated: use BestWith.
-func BestCtx(ctx context.Context, g *topology.Graph, bytes int64, o Objective, requireInOrder, allowShared bool) (Candidate, error) {
-	ranked, err := SelectCtx(ctx, g, bytes, o, requireInOrder, allowShared)
-	if err != nil {
-		return Candidate{}, err
-	}
-	return ranked[0], nil
-}

@@ -1,6 +1,7 @@
 package autotune
 
 import (
+	"context"
 	"testing"
 
 	"ccube/internal/collective"
@@ -11,7 +12,10 @@ import (
 func dgx1() *topology.Graph { return topology.DGX1(topology.DefaultDGX1Config()) }
 
 func TestCandidatesCoverAllAlgorithms(t *testing.T) {
-	cands := Candidates(dgx1(), 16<<20, false)
+	cands, err := CandidatesWith(context.Background(), dgx1(), 16<<20, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(cands) != 6 {
 		t.Fatalf("candidates = %d, want 6", len(cands))
 	}
@@ -28,7 +32,7 @@ func TestCandidatesCoverAllAlgorithms(t *testing.T) {
 func TestSelectLatencyPrefersOverlapAtLargeSizes(t *testing.T) {
 	// At 64MB on the DGX-1, the overlapped double tree has the best total
 	// time of all candidates (Fig. 12's headline).
-	best, err := Best(dgx1(), 64<<20, Latency, false)
+	best, err := BestWith(context.Background(), dgx1(), 64<<20, Options{Objective: Latency})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +42,7 @@ func TestSelectLatencyPrefersOverlapAtLargeSizes(t *testing.T) {
 }
 
 func TestSelectTurnaroundPrefersOverlap(t *testing.T) {
-	best, err := Best(dgx1(), 64<<20, Turnaround, false)
+	best, err := BestWith(context.Background(), dgx1(), 64<<20, Options{Objective: Turnaround})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +53,7 @@ func TestSelectTurnaroundPrefersOverlap(t *testing.T) {
 }
 
 func TestSelectInOrderConstraintExcludesRing(t *testing.T) {
-	ranked, err := Select(dgx1(), 64<<20, Latency, true)
+	ranked, err := SelectWith(context.Background(), dgx1(), 64<<20, Options{Objective: Latency, RequireInOrder: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +69,7 @@ func TestSelectInOrderConstraintExcludesRing(t *testing.T) {
 
 func TestSelectRankingIsSorted(t *testing.T) {
 	for _, o := range []Objective{Latency, Turnaround} {
-		ranked, err := Select(dgx1(), 4<<20, o, false)
+		ranked, err := SelectWith(context.Background(), dgx1(), 4<<20, Options{Objective: o})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,8 +84,12 @@ func TestSelectRankingIsSorted(t *testing.T) {
 func TestCandidatesReportInfeasible(t *testing.T) {
 	// 6 GPUs: halving-doubling cannot run; others may or may not.
 	g := topology.FullyConnected(6, 25e9, 3*des.Microsecond)
+	cands, err := CandidatesWith(context.Background(), g, 1<<20, Options{AllowShared: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	found := false
-	for _, c := range Candidates(g, 1<<20, true) {
+	for _, c := range cands {
 		if c.Algorithm == collective.AlgHalvingDoubling {
 			found = true
 			if c.Err == nil {
@@ -99,11 +107,11 @@ func TestSelectionShiftsWithMessageSize(t *testing.T) {
 	// sizes latency-optimal (log-depth) algorithms win; at huge sizes
 	// bandwidth-optimal schedules win. Verify the top choice at 4kB differs
 	// in character from 256MB by comparing their latency structure.
-	small, err := Select(dgx1(), 4<<10, Latency, false)
+	small, err := SelectWith(context.Background(), dgx1(), 4<<10, Options{Objective: Latency})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := Select(dgx1(), 256<<20, Latency, false)
+	big, err := SelectWith(context.Background(), dgx1(), 256<<20, Options{Objective: Latency})
 	if err != nil {
 		t.Fatal(err)
 	}

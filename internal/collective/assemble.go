@@ -13,10 +13,9 @@ import (
 // synthesized collectives flow through schedcheck, the cache/store, and the
 // DES engine unchanged.
 //
-// Assemble performs no verification beyond index sanity. A schedule it
-// returns must pass through Verify/Validate (or a verifying constructor
-// such as Cache.BuildWith) before it may execute — the synth-verify lint
-// rule enforces this at every module-local call site.
+// Assemble performs no verification beyond index sanity. It returns an
+// *Unverified schedule, whose Verify runs the full static verifier before
+// anything can execute it.
 
 // OpSpec describes one operation of an externally assembled schedule, in
 // the same vocabulary as the internal transfer DAG.
@@ -65,10 +64,9 @@ type AssembleSpec struct {
 
 // Assemble materializes an externally compiled schedule. It checks only
 // index sanity (dep and relay references must point at earlier ops, chunks
-// must exist in the partition); the result is NOT verified — callers must
-// run Verify/Validate before executing it, or build through Cache.BuildWith
-// which verifies on every miss.
-func Assemble(spec AssembleSpec) (*Schedule, error) {
+// must exist in the partition); the result is unverified until its Verify
+// succeeds.
+func Assemble(spec AssembleSpec) (*Unverified, error) {
 	if spec.Graph == nil {
 		return nil, fmt.Errorf("collective: assemble: nil graph")
 	}
@@ -120,5 +118,5 @@ func Assemble(spec AssembleSpec) (*Schedule, error) {
 			s.markFinal(id, op.Final)
 		}
 	}
-	return s, nil
+	return &Unverified{s: s}, nil
 }

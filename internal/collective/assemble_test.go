@@ -11,7 +11,7 @@ import (
 
 // assembleAllReduce2 hand-assembles the minimal two-node allreduce: reduce
 // 0->1, root-ready marker, broadcast 1->0.
-func assembleAllReduce2(g *topology.Graph) (*Schedule, error) {
+func assembleAllReduce2(g *topology.Graph) (*Unverified, error) {
 	nodes := g.GPUs()
 	up := g.ChannelsBetween(nodes[0], nodes[1])[0]
 	down := g.ChannelsBetween(nodes[1], nodes[0])[0]
@@ -34,14 +34,28 @@ func assembleAllReduce2(g *topology.Graph) (*Schedule, error) {
 	})
 }
 
+// verifiedAllReduce2 is assembleAllReduce2 through its Verify gate, the
+// shape a cache builder returns.
+func verifiedAllReduce2(g *topology.Graph) (*Schedule, error) {
+	u, err := assembleAllReduce2(g)
+	if err != nil {
+		return nil, err
+	}
+	return u.Verify()
+}
+
 func TestAssembleMinimalAllReduce(t *testing.T) {
 	g := topology.FullyConnected(2, 10e9, 5*des.Microsecond)
-	s, err := assembleAllReduce2(g)
+	u, err := assembleAllReduce2(g)
 	if err != nil {
 		t.Fatalf("Assemble: %v", err)
 	}
-	if err := s.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
+	s, err := u.Verify()
+	if err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+	if s.BuiltFingerprint() != g.Fingerprint() {
+		t.Error("Verify did not stamp the schedule against the current topology")
 	}
 	if err := s.VerifyDeep(); err != nil {
 		t.Fatalf("VerifyDeep: %v", err)
@@ -101,13 +115,13 @@ func TestAssembleRejectsMalformedSpecs(t *testing.T) {
 
 // Assemble itself is only an index-sanity boundary: a structurally sane but
 // semantically wrong program (payload on a channel that does not connect its
-// endpoints) assembles fine and is caught by Validate — which is why every
-// Assemble call site must be followed by a verification gate.
+// endpoints) assembles fine and is caught by Verify — which is why Assemble
+// returns an Unverified schedule that cannot execute until Verify passes.
 func TestAssembleIsUnverified(t *testing.T) {
 	g := topology.FullyConnected(3, 10e9, 5*des.Microsecond)
 	nodes := g.GPUs()
 	wrong := g.ChannelsBetween(nodes[1], nodes[2])[0] // does not touch node 0
-	s, err := Assemble(AssembleSpec{
+	u, err := Assemble(AssembleSpec{
 		Graph:     g,
 		Nodes:     nodes,
 		Partition: chunk.Split(1<<16, 1),
@@ -120,8 +134,8 @@ func TestAssembleIsUnverified(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Assemble: %v", err)
 	}
-	if err := s.Validate(); err == nil {
-		t.Fatal("Validate accepted a payload on a channel that does not connect its endpoints")
+	if _, err := u.Verify(); err == nil {
+		t.Fatal("Verify accepted a payload on a channel that does not connect its endpoints")
 	}
 }
 
@@ -133,7 +147,7 @@ func TestCacheSynthKeySeparates(t *testing.T) {
 	builds := 0
 	builder := func() (*Schedule, error) {
 		builds++
-		return assembleAllReduce2(g)
+		return verifiedAllReduce2(g)
 	}
 	cfg := func(key string) Config {
 		return Config{Graph: g, Algorithm: AlgSynth, Bytes: 1 << 16, SynthKey: key}
@@ -190,7 +204,7 @@ func TestCacheSynthSkipsSiblingPatch(t *testing.T) {
 	builds := 0
 	builder := func() (*Schedule, error) {
 		builds++
-		return assembleAllReduce2(g2)
+		return verifiedAllReduce2(g2)
 	}
 	for _, bytes := range []int64{1 << 16, 1 << 18} {
 		if _, err := c.BuildWith(Config{

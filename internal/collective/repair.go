@@ -9,7 +9,8 @@ import (
 
 // DeadChannelError reports a transfer scheduled over a channel that has
 // failed. Instantiate returns it instead of silently timing traffic over a
-// dead link; callers react by invoking RepairSchedule.
+// dead link; callers react by repairing the schedule around the channels
+// DownChannels lists (RepairSchedule) and verifying the result.
 type DeadChannelError struct {
 	Transfer int
 	Label    string
@@ -36,108 +37,266 @@ func (e *UnrepairableError) Error() string {
 		e.Channel, e.From, e.To, e.Reason)
 }
 
-// RepairReport summarizes what RepairSchedule changed.
-type RepairReport struct {
-	// DeadChannels are the failed channels the schedule was riding, id order.
-	DeadChannels []topology.ChannelID
-	// Rerouted counts transfers moved onto a replacement route.
-	Rerouted int
-	// AddedHops counts forwarding transfers appended for multi-hop detours.
-	AddedHops int
-	// Routes describes each replacement, for diagnostics.
-	Routes []string
+// PatchOptions tunes RepairSchedule.
+type PatchOptions struct {
+	// Skip marks transfers (by id in the input schedule) that must be left
+	// untouched even when they ride a patched channel — live adaptation
+	// passes the checkpoint's executed set here: a transfer that already ran
+	// before the link died needs no reroute, and rerouting it would falsify
+	// the recorded timing.
+	Skip []bool
 }
 
-// RepairSchedule rewrites a schedule whose channels have died (see
-// topology.Graph.KillChannel) so every transfer rides healthy links,
-// implementing the paper's detour mechanism (§IV-A) as a static repair: a
-// stranded transfer is moved to a surviving parallel channel when one
-// exists, and otherwise spliced into a forwarding chain through an
-// intermediate GPU (or a modeled PCIe fallback channel, when the topology
-// includes one). The input schedule is not modified; the repaired clone is
-// re-verified by the full static checker before being returned, proving the
-// repair preserved the schedule's Contract.
-//
-// When no healthy replacement route exists, RepairSchedule returns a
-// *UnrepairableError.
-func RepairSchedule(s *Schedule) (*Schedule, *RepairReport, error) {
-	rep := &RepairReport{}
-	out := s.clone()
+// PatchReport summarizes what RepairSchedule changed, in terms the delta
+// verifier (schedcheck.CheckPatch) and checkpoint remapping consume
+// directly.
+type PatchReport struct {
+	// DeadChannels are the down channels that were patched around, id order.
+	DeadChannels []topology.ChannelID
+	// Rerouted counts transfers moved off their original channel.
+	Rerouted int
+	// Rebalanced counts rerouted transfers that were spread across two or
+	// more surviving parallel channels by the load balancer (rather than all
+	// dumped on one replacement).
+	Rebalanced int
+	// AddedHops counts forwarding transfers appended for multi-hop detours.
+	AddedHops int
+	// Routes describes each repair, for diagnostics.
+	Routes []string
+	// OldToNew maps every input-schedule transfer id to its id in the
+	// patched schedule (renumbering moves ids; nothing is ever deleted).
+	OldToNew []int
+	// Touched lists the patched-schedule ids of modified and added
+	// transfers, ascending. Everything not listed is identical to its base
+	// transfer modulo renumbering.
+	Touched []int
+}
 
-	// Collect the stranded transfers and the dead channels involved.
-	var broken []*transfer
-	deadSeen := make(map[topology.ChannelID]bool)
-	for _, t := range out.transfers {
-		if t.isMarker() {
+// DownChannels returns the distinct failed channels the schedule's
+// transfers ride, in id order — the channel list RepairSchedule needs to
+// route a schedule off every dead link before launch.
+func (s *Schedule) DownChannels() []topology.ChannelID {
+	seen := make(map[topology.ChannelID]bool)
+	var down []topology.ChannelID
+	for _, t := range s.transfers {
+		if t.isMarker() || seen[t.channel] || !s.Graph.Channel(t.channel).Down() {
 			continue
 		}
-		if out.Graph.Channel(t.channel).Down() {
-			broken = append(broken, t)
-			if !deadSeen[t.channel] {
-				deadSeen[t.channel] = true
-				rep.DeadChannels = append(rep.DeadChannels, t.channel)
+		seen[t.channel] = true
+		down = append(down, t.channel)
+	}
+	sort.Slice(down, func(i, j int) bool { return down[i] < down[j] })
+	return down
+}
+
+// RepairSchedule patches a verified schedule around the given channels,
+// implementing the paper's detour mechanism (§IV-A) as a repair: only
+// transfers riding those channels are rewritten; the rest of the schedule —
+// typically all but a few of thousands of transfers at scale-out sizes —
+// survives bit-identical modulo renumbering. The input schedule is not
+// modified. Pre-launch and relaunch repair pass s.DownChannels() and no
+// options; live adaptation passes the channel that died mid-run and the
+// checkpoint's executed set as Skip.
+//
+// Per patched channel:
+//   - down, with healthy parallel channels between the same endpoints: the
+//     stranded transfers are spread across the survivors, each assigned
+//     greedily to the channel that finishes it earliest under the load
+//     already placed there (bytes weighted by effective bandwidth) — the
+//     load-rebalancing that recovers most of the lost bandwidth instead of
+//     serializing everything behind one replacement;
+//   - down, no parallel survivor: one replacement route shared by every
+//     stranded transfer, preferring idle channels — a direct healthy
+//     channel, else a forwarding chain through one intermediate GPU (or a
+//     modeled PCIe fallback channel, when the topology includes one),
+//     spliced per transfer;
+//   - degraded but alive: its transfers are rebalanced across the healthy
+//     parallel channels including itself, shifting load toward the faster
+//     links.
+//
+// The result is an *Unverified schedule: it cannot execute until its Verify
+// proves the patch against s (schedcheck.CheckPatch) and stamps it. A patch
+// that changes nothing keeps the identity renumbering, so Verify only
+// restamps it against the current topology. When a stranded transfer has no
+// healthy replacement route the repair fails with *UnrepairableError.
+func RepairSchedule(s *Schedule, channels []topology.ChannelID, opts *PatchOptions) (*Unverified, *PatchReport, error) {
+	rep := &PatchReport{}
+	out := s.clone()
+	oldN := len(out.transfers)
+
+	var skip []bool
+	if opts != nil && opts.Skip != nil {
+		if len(opts.Skip) != oldN {
+			return nil, nil, fmt.Errorf("collective: skip set covers %d of %d transfers", len(opts.Skip), oldN)
+		}
+		skip = opts.Skip
+	}
+
+	targetSet := make(map[topology.ChannelID]bool, len(channels))
+	var targets []topology.ChannelID
+	for _, cid := range channels {
+		if cid < 0 || int(cid) >= out.Graph.NumChannels() {
+			return nil, nil, fmt.Errorf("collective: patch channel %d does not exist", cid)
+		}
+		if !targetSet[cid] {
+			targetSet[cid] = true
+			targets = append(targets, cid)
+		}
+	}
+	sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
+
+	byChannel := make(map[topology.ChannelID][]*transfer)
+	for _, t := range out.transfers {
+		if t.isMarker() || (skip != nil && skip[t.id]) {
+			continue
+		}
+		if targetSet[t.channel] {
+			byChannel[t.channel] = append(byChannel[t.channel], t)
+		}
+	}
+
+	// The detour router is built lazily: the common case (a parallel channel
+	// survives) never needs it. It is seeded with every healthy channel the
+	// schedule still uses, so replacement routes prefer idle links.
+	var router *topology.Router
+	getRouter := func() *topology.Router {
+		if router == nil {
+			router = topology.NewRouter(out.Graph)
+			for _, t := range out.transfers {
+				if t.isMarker() || out.Graph.Channel(t.channel).Down() {
+					continue
+				}
+				if !router.Claimed(t.channel) {
+					router.Claim(t.channel)
+				}
 			}
 		}
-	}
-	sort.Slice(rep.DeadChannels, func(i, j int) bool { return rep.DeadChannels[i] < rep.DeadChannels[j] })
-	if len(broken) == 0 {
-		// Nothing to rewire: the schedule rides no dead channel. The scan
-		// above validated exactly that against the current topology, so the
-		// clone is stamped fresh.
-		out.stamp()
-		return out, rep, nil
+		return router
 	}
 
-	// Seed a router with every channel the surviving schedule still uses, so
-	// replacement routes prefer idle links (mirroring assignRoutes). Routing
-	// falls back to sharing a busy healthy channel when nothing idle remains.
-	router := topology.NewRouter(out.Graph)
-	for _, t := range out.transfers {
-		if t.isMarker() || out.Graph.Channel(t.channel).Down() {
+	touched := make(map[int]bool)
+	for _, cid := range targets {
+		stranded := byChannel[cid]
+		if len(stranded) == 0 {
 			continue
 		}
-		if !router.Claimed(t.channel) {
-			router.Claim(t.channel)
-		}
-	}
-
-	// Replacement routes are computed once per dead channel: every stranded
-	// transfer on that channel shares the same physical repair, exactly as
-	// every chunk of a tree edge shares its detour.
-	routeFor := make(map[topology.ChannelID]topology.Route)
-	for _, cid := range rep.DeadChannels {
 		ch := out.Graph.Channel(cid)
-		rt, err := replacementRoute(out.Graph, router, ch.From, ch.To)
-		if err != nil {
-			return nil, nil, &UnrepairableError{Channel: cid, From: ch.From, To: ch.To, Reason: err.Error()}
+		var sibs []topology.ChannelID
+		for _, sc := range out.Graph.ChannelsBetween(ch.From, ch.To) {
+			if sc != cid && !out.Graph.Channel(sc).Down() {
+				sibs = append(sibs, sc)
+			}
 		}
-		routeFor[cid] = rt
-		rep.Routes = append(rep.Routes, describeRoute(out.Graph, cid, rt))
+		switch {
+		case ch.Down() && len(sibs) > 0:
+			rep.DeadChannels = append(rep.DeadChannels, cid)
+			moved := out.rebalance(stranded, sibs, touched)
+			rep.Rerouted += moved
+			if len(sibs) > 1 {
+				rep.Rebalanced += moved
+			}
+			rep.Routes = append(rep.Routes, fmt.Sprintf("ch%d %s->%s -> %d transfers rebalanced across %d parallel channels",
+				cid, out.Graph.Node(ch.From).Name, out.Graph.Node(ch.To).Name, moved, len(sibs)))
+		case ch.Down():
+			rt, err := replacementRoute(out.Graph, getRouter(), ch.From, ch.To)
+			if err != nil {
+				return nil, nil, &UnrepairableError{Channel: cid, From: ch.From, To: ch.To, Reason: err.Error()}
+			}
+			rep.DeadChannels = append(rep.DeadChannels, cid)
+			rep.Routes = append(rep.Routes, describeRoute(out.Graph, cid, rt))
+			for _, t := range stranded {
+				rep.Rerouted++
+				touched[t.id] = true
+				if rt.Direct() {
+					t.channel = rt.Channels[0]
+					continue
+				}
+				rep.AddedHops += rt.Hops() - 1
+				out.splice(t, rt)
+			}
+		default:
+			// Degraded but alive: shift load across the parallel group,
+			// including the degraded channel itself at its reduced bandwidth.
+			if len(sibs) == 0 {
+				continue
+			}
+			group := append([]topology.ChannelID{cid}, sibs...)
+			moved := out.rebalance(stranded, group, touched)
+			rep.Rerouted += moved
+			rep.Rebalanced += moved
+			rep.Routes = append(rep.Routes, fmt.Sprintf("ch%d degraded x%.2g -> %d transfers rebalanced across %d parallel channels",
+				cid, ch.DegradeFactor(), moved, len(group)))
+		}
 	}
 
-	for _, t := range broken {
-		rt := routeFor[t.channel]
-		rep.Rerouted++
-		if rt.Direct() {
-			t.channel = rt.Channels[0]
+	if len(touched) == 0 {
+		// Nothing changed. Renumbering an untouched schedule could still
+		// permute ids (and with them the DES's tie-breaks), so keep the
+		// identity.
+		rep.OldToNew = make([]int, oldN)
+		for i := range rep.OldToNew {
+			rep.OldToNew[i] = i
+		}
+		return &Unverified{s: out, base: s, patch: rep}, rep, nil
+	}
+	newID, err := out.normalizeMap()
+	if err != nil {
+		return nil, nil, fmt.Errorf("collective: patch produced an unorderable schedule: %w", err)
+	}
+	rep.OldToNew = append([]int(nil), newID[:oldN]...)
+	for old := range touched {
+		rep.Touched = append(rep.Touched, newID[old])
+	}
+	for old := oldN; old < len(newID); old++ {
+		rep.Touched = append(rep.Touched, newID[old])
+	}
+	sort.Ints(rep.Touched)
+	if err := out.validateStructure(); err != nil {
+		return nil, nil, fmt.Errorf("collective: patched schedule failed structural validation: %w", err)
+	}
+	return &Unverified{s: out, base: s, patch: rep}, rep, nil
+}
+
+// rebalance assigns each stranded transfer (id order) to the channel in
+// group that would finish it earliest: per-channel load is seeded with the
+// traffic the rest of the schedule already places there, and each
+// assignment adds bytes/effective-bandwidth. Deterministic: ties go to the
+// earliest group position. Returns how many transfers changed channel.
+func (s *Schedule) rebalance(stranded []*transfer, group []topology.ChannelID, touched map[int]bool) int {
+	inStranded := make(map[int]bool, len(stranded))
+	for _, t := range stranded {
+		inStranded[t.id] = true
+	}
+	idx := make(map[topology.ChannelID]int, len(group))
+	load := make([]float64, len(group))
+	for k, cid := range group {
+		idx[cid] = k
+	}
+	for _, t := range s.transfers {
+		if t.isMarker() || inStranded[t.id] {
 			continue
 		}
-		rep.AddedHops += rt.Hops() - 1
-		out.splice(t, rt)
+		if k, ok := idx[t.channel]; ok {
+			load[k] += float64(t.bytes) / s.Graph.Channel(t.channel).EffectiveBandwidth()
+		}
 	}
-
-	if err := out.normalize(); err != nil {
-		return nil, nil, fmt.Errorf("collective: repair produced an unorderable schedule: %w", err)
+	moved := 0
+	for _, t := range stranded {
+		best, bestCost := -1, 0.0
+		for k, cid := range group {
+			cost := load[k] + float64(t.bytes)/s.Graph.Channel(cid).EffectiveBandwidth()
+			if best < 0 || cost < bestCost {
+				best, bestCost = k, cost
+			}
+		}
+		load[best] = bestCost
+		if group[best] != t.channel {
+			t.channel = group[best]
+			touched[t.id] = true
+			moved++
+		}
 	}
-	if err := out.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("collective: repaired schedule failed verification: %w", err)
-	}
-	// The repair just verified the clone against the current topology, so
-	// restamp it: a stamped input's stale fingerprint must not outlive the
-	// repair, and executing the repaired schedule after further topology
-	// mutations should again fail loudly.
-	out.stamp()
-	return out, rep, nil
+	return moved
 }
 
 // replacementRoute finds a healthy route a->b: first over idle channels via
@@ -200,7 +359,9 @@ func describeRoute(g *topology.Graph, dead topology.ChannelID, rt topology.Route
 }
 
 // clone deep-copies the schedule (transfers, deps) sharing the immutable
-// Graph/Nodes/Partition.
+// Graph/Nodes/Partition. Execution never mutates a schedule, so cached
+// schedules are shared directly; clone exists for rewrites (repair,
+// same-shape sibling patching).
 func (s *Schedule) clone() *Schedule {
 	out := &Schedule{
 		Graph:     s.Graph,
@@ -222,7 +383,7 @@ func (s *Schedule) clone() *Schedule {
 // splice rewires a stranded transfer t over multi-hop route rt: forwarding
 // transfers for every hop but the last are appended (writing relay slots),
 // and t itself becomes the final hop, reading the last relay. The appended
-// transfers carry ids after t — normalize restores topological id order.
+// transfers carry ids after t — normalizeMap restores topological id order.
 func (s *Schedule) splice(t *transfer, rt topology.Route) {
 	prevSrc := t.src
 	prevDeps := append([]int(nil), t.deps...)
@@ -263,19 +424,14 @@ func appendUnique(deps []int, d int) []int {
 	return append(deps, d)
 }
 
-// normalize renumbers transfers into topological id order (dependencies
-// before dependents), rewriting ids, deps, and relay-slot references.
+// normalizeMap renumbers transfers into topological id order (dependencies
+// before dependents), rewriting ids, deps, and relay-slot references, and
+// returns the renumbering: newID[old] is the id transfer old was assigned.
 // Instantiate and the verifier both require id order to respect the DAG;
 // splice violates it by appending hops that stranded transfers depend on.
-func (s *Schedule) normalize() error {
-	_, err := s.normalizeMap()
-	return err
-}
-
-// normalizeMap is normalize returning the renumbering: newID[old] is the id
-// transfer old was assigned. Incremental repair threads this mapping into
-// PatchReport.OldToNew so delta verification (schedcheck.CheckPatch) and
-// checkpoint remapping can line the patched schedule up with its base.
+// RepairSchedule threads the mapping into PatchReport.OldToNew so delta
+// verification (schedcheck.CheckPatch) and checkpoint remapping can line
+// the patched schedule up with its base.
 func (s *Schedule) normalizeMap() ([]int, error) {
 	order, err := s.topoOrder()
 	if err != nil {

@@ -64,13 +64,7 @@ func TestCheckpointPatchResume(t *testing.T) {
 	}
 
 	g.KillChannel(dead)
-	patched, rep, err := RepairScheduleIncremental(s, []topology.ChannelID{dead}, &PatchOptions{Skip: cp.Executed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyPatch(s, patched, rep); err != nil {
-		t.Fatal(err)
-	}
+	patched, rep := repairVerified(t, s, []topology.ChannelID{dead}, &PatchOptions{Skip: cp.Executed})
 	rcp := cp.Remap(rep.OldToNew, patched.NumTransfers())
 	if rcp.NumExecuted != cp.NumExecuted || rcp.At != cp.At {
 		t.Fatalf("remap changed the executed count/time: %d@%v vs %d@%v",
@@ -118,13 +112,7 @@ func TestResumeHonorsCarryover(t *testing.T) {
 	}
 	cp, dead := forceCheckpoint(t, s)
 	g.KillChannel(dead)
-	patched, rep, err := RepairScheduleIncremental(s, []topology.ChannelID{dead}, &PatchOptions{Skip: cp.Executed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyPatch(s, patched, rep); err != nil {
-		t.Fatal(err)
-	}
+	patched, rep := repairVerified(t, s, []topology.ChannelID{dead}, &PatchOptions{Skip: cp.Executed})
 	rcp := cp.Remap(rep.OldToNew, patched.NumTransfers())
 	var horizon des.Time
 	for _, f := range rcp.FreeAt {

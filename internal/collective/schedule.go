@@ -130,8 +130,8 @@ func (s *Schedule) NumTransfers() int { return len(s.transfers) }
 // a topology whose fingerprint no longer matches the one it was built and
 // verified against — e.g. a channel was killed or degraded after the
 // schedule came out of the cache. The fix is to rebuild (a cache lookup
-// misses on the new fingerprint) or to run RepairSchedule, which re-verifies
-// against the current topology and restamps.
+// misses on the new fingerprint) or to repair it (RepairSchedule) and
+// Verify the result, which restamps it against the current topology.
 type StaleScheduleError struct {
 	Built   uint64 // fingerprint at build/verification time
 	Current uint64 // fingerprint now
@@ -149,12 +149,6 @@ func (s *Schedule) stamp() { s.builtFor = s.Graph.Fingerprint() }
 // BuiltFingerprint returns the topology fingerprint the schedule is stamped
 // with (0 for unstamped schedules, which skip the staleness check).
 func (s *Schedule) BuiltFingerprint() uint64 { return s.builtFor }
-
-// Clone returns a deep copy of the schedule (transfers and dependency lists;
-// the immutable Graph/Nodes/Partition are shared). Execution never mutates a
-// schedule, so cached schedules are shared directly; Clone exists for
-// callers that want to rewrite transfers, e.g. RepairSchedule.
-func (s *Schedule) Clone() *Schedule { return s.clone() }
 
 // Result summarizes one timed execution of a schedule.
 type Result struct {

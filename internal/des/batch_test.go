@@ -122,6 +122,32 @@ func playWorkload(e *Engine, specs []batchSpec, ctx context.Context, cancel cont
 	return tr
 }
 
+// recycle is recycleQuiet with the per-event pool metric, for step.
+func (e *Engine) recycle(ev *event) {
+	mPoolRecycled.Inc()
+	e.recycleQuiet(ev)
+}
+
+// step pops and executes a single event: the per-event reference the
+// batched drain (popRun/fireBatch) is property-tested against.
+func (e *Engine) step() {
+	ev := e.pop()
+	if ev.canceled {
+		mEventsCancelled.Inc()
+		e.recycle(ev)
+		return
+	}
+	if ev.at < e.now {
+		panic("des: event heap time went backwards")
+	}
+	e.now = ev.at
+	e.fired++
+	mEventsFired.Inc()
+	fn := ev.fn
+	e.recycle(ev)
+	fn()
+}
+
 // runSerialRef replays the pre-batching engine loop: per-event pop via
 // step() with a context checkpoint before each pop. It is the semantic
 // reference the batched drain is tested against.

@@ -224,38 +224,11 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	return e.now
 }
 
-// step pops and executes a single event. It is the per-event reference
-// implementation the batched drain is property-tested against
-// (TestBatchedDrainMatchesSerial); production runs go through
-// popRun/fireBatch instead.
-func (e *Engine) step() {
-	ev := e.pop()
-	if ev.canceled {
-		mEventsCancelled.Inc()
-		e.recycle(ev)
-		return
-	}
-	if ev.at < e.now {
-		panic("des: event heap time went backwards")
-	}
-	e.now = ev.at
-	e.fired++
-	mEventsFired.Inc()
-	fn := ev.fn
-	e.recycle(ev)
-	fn()
-}
-
-// recycle returns an event record to the pool, invalidating outstanding
-// handles via the generation bump and dropping the callback reference so the
-// pool does not retain closures.
-func (e *Engine) recycle(ev *event) {
-	mPoolRecycled.Inc()
-	e.recycleQuiet(ev)
-}
-
-// recycleQuiet is recycle without the per-event metric update; fireBatch
-// recycles a whole run and publishes one batched counter add instead.
+// recycleQuiet returns an event record to the pool, invalidating
+// outstanding handles via the generation bump and dropping the callback
+// reference so the pool does not retain closures. It skips the per-event
+// metric update: fireBatch recycles a whole run and publishes one batched
+// counter add instead.
 func (e *Engine) recycleQuiet(ev *event) {
 	ev.gen++
 	ev.fn = nil

@@ -21,9 +21,10 @@ const (
 	ModeRelaunch Mode = iota
 	// ModeAdapt keeps the progress: checkpoint the executed transfers,
 	// patch only the remaining subgraph around the dead channel
-	// (collective.RepairScheduleIncremental, delta-verified by VerifyPatch),
-	// and resume on the same virtual clock. Relaunch remains the fallback
-	// when the patch is unrepairable or fails delta verification.
+	// (collective.RepairSchedule with the executed set skipped, then
+	// delta-verified), and resume on the same virtual clock. Relaunch
+	// remains the fallback when the patch is unrepairable or fails delta
+	// verification.
 	ModeAdapt
 )
 
@@ -47,11 +48,11 @@ type RunReport struct {
 	Attempts int
 	Resumes  int
 
-	// Repairs holds one report per full RepairSchedule invocation, in
-	// order: the pre-launch repair (when it rewired anything) first, then
-	// one per relaunch. Patches holds one report per adopted incremental
-	// patch (adapt mode).
-	Repairs []*collective.RepairReport
+	// Repairs holds one report per whole-schedule repair (every down
+	// channel the schedule rides), in order: the pre-launch repair (when it
+	// rewired anything) first, then one per relaunch. Patches holds one
+	// report per adopted mid-run patch (adapt mode).
+	Repairs []*collective.PatchReport
 	Patches []*collective.PatchReport
 
 	// MidRunDeaths lists channels that died mid-run, in failure order.
@@ -155,7 +156,7 @@ func RunCollectiveOpts(ctx context.Context, cfg collective.Config, plan *Plan, o
 		g.KillChannel(id)
 	}
 
-	cur, rep, err := collective.RepairSchedule(s)
+	cur, rep, err := repairDown(s)
 	if err != nil {
 		return nil, report, err
 	}
@@ -218,10 +219,11 @@ func RunCollectiveOpts(ctx context.Context, cfg collective.Config, plan *Plan, o
 
 		if opts.Mode == ModeAdapt {
 			mRepairAttempts.Inc()
-			patched, prep, perr := collective.RepairScheduleIncremental(cur,
+			var patched *collective.Schedule
+			u, prep, perr := collective.RepairSchedule(cur,
 				[]topology.ChannelID{died}, &collective.PatchOptions{Skip: next.Executed})
 			if perr == nil {
-				perr = collective.VerifyPatch(cur, patched, prep)
+				patched, perr = u.Verify()
 			}
 			if perr == nil {
 				report.Adapted++
@@ -243,7 +245,7 @@ func RunCollectiveOpts(ctx context.Context, cfg collective.Config, plan *Plan, o
 		report.LostTime += next.At
 		cp = nil
 		mRepairAttempts.Inc()
-		nextSched, rep, rerr2 := collective.RepairSchedule(cur)
+		nextSched, rep, rerr2 := repairDown(cur)
 		if rerr2 != nil {
 			return nil, report, rerr2
 		}
@@ -254,6 +256,20 @@ func RunCollectiveOpts(ctx context.Context, cfg collective.Config, plan *Plan, o
 		}
 		cur = nextSched
 	}
+}
+
+// repairDown routes s off every down channel it rides and verifies the
+// patch: the pre-launch and relaunch repair.
+func repairDown(s *collective.Schedule) (*collective.Schedule, *collective.PatchReport, error) {
+	u, rep, err := collective.RepairSchedule(s, s.DownChannels(), nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	out, err := u.Verify()
+	if err != nil {
+		return nil, nil, err
+	}
+	return out, rep, nil
 }
 
 // channelOfResource maps a des resource name back to its channel id (index

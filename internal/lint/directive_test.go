@@ -142,7 +142,7 @@ func TestRegistryHasAllRules(t *testing.T) {
 	want := []string{
 		"ctx-propagation", "des-hot-alloc", "goroutine-leak",
 		"kernel-goroutine", "lock-pairing", "metrics-cardinality",
-		"no-sleep", "repair-verify", "server-ctx", "synth-verify",
+		"no-sleep", "server-ctx",
 		"unchecked-engine-err", "virtual-time",
 	}
 	for _, name := range want {

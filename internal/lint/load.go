@@ -1,14 +1,19 @@
 package lint
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -53,6 +58,7 @@ type Loader struct {
 
 	fset    *token.FileSet
 	std     types.Importer
+	exports map[string]string   // import path -> export data file
 	cache   map[string]*Package // by import path
 	loading map[string]bool     // import cycle guard
 }
@@ -68,14 +74,65 @@ func NewLoader(moduleRoot string) (*Loader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: %w", err)
 	}
-	return &Loader{
+	l := &Loader{
 		ModuleRoot: abs,
 		ModulePath: modPath,
 		fset:       token.NewFileSet(),
-		std:        importer.Default(),
+		exports:    map[string]string{},
 		cache:      map[string]*Package{},
 		loading:    map[string]bool{},
-	}, nil
+	}
+	// One batched `go list` locates the export data of every dependency of
+	// the module up front. importer.Default() would run one `go list` per
+	// imported standard-library package instead — tens of process starts,
+	// most of a cold lint run.
+	if err := l.listExports("./..."); err != nil {
+		return nil, err
+	}
+	l.std = importer.ForCompiler(l.fset, "gc", l.lookupExport)
+	return l, nil
+}
+
+// listExports runs `go list -deps -export` over the patterns in the module
+// root and records each listed package's export data file.
+func (l *Loader) listExports(patterns ...string) error {
+	args := append([]string{"list", "-e", "-deps", "-export", "-json=ImportPath,Export"}, patterns...)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = l.ModuleRoot
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return fmt.Errorf("lint: go list %s: %w: %s", strings.Join(patterns, " "), err, strings.TrimSpace(stderr.String()))
+	}
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for {
+		var p struct{ ImportPath, Export string }
+		if err := dec.Decode(&p); errors.Is(err, io.EOF) {
+			return nil
+		} else if err != nil {
+			return fmt.Errorf("lint: go list output: %w", err)
+		}
+		if p.Export != "" {
+			l.exports[p.ImportPath] = p.Export
+		}
+	}
+}
+
+// lookupExport opens the export data of a non-module import for the gc
+// importer. A path outside the start-up batch (an import of a nested module
+// such as perfbench/) is listed on its own.
+func (l *Loader) lookupExport(path string) (io.ReadCloser, error) {
+	if _, ok := l.exports[path]; !ok {
+		if err := l.listExports(path); err != nil {
+			return nil, err
+		}
+	}
+	file, ok := l.exports[path]
+	if !ok {
+		return nil, fmt.Errorf("lint: no export data for %q", path)
+	}
+	return os.Open(file)
 }
 
 // modulePath extracts the module path from a go.mod file without depending

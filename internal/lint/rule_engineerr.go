@@ -22,9 +22,8 @@ var engineErrFuncs = map[string]bool{
 	"RunCtx": true, "RunCtxErr": true, "RunErr": true,
 	"ExecuteCtx": true, "ExecuteOnCtx": true, "ExecuteTracedCtx": true,
 	"ExecuteCheckpointCtx": true, "ResumeOnCtx": true,
-	"Verify": true, "VerifyDeep": true, "Validate": true,
-	"RepairSchedule": true, "RepairScheduleIncremental": true, "VerifyPatch": true,
-	"RunChurn": true,
+	"Verify": true, "VerifyDeep": true, "Validate": true, // incl. Unverified.Verify
+	"RepairSchedule": true, "RunChurn": true,
 }
 
 func runUncheckedEngineErr(p *Pass) {

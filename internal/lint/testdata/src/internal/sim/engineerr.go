@@ -31,3 +31,23 @@ func CheckRight() error {
 func CheckQuiet() {
 	Verify(true) //lint:ignore unchecked-engine-err fixture: suppressed dropped verification
 }
+
+// Schedule is an executable, verified schedule.
+type Schedule struct{}
+
+// Unverified is a schedule that cannot execute until Verify proves it.
+type Unverified struct{}
+
+// Verify proves the schedule; the error is the verification outcome.
+func (u *Unverified) Verify() (*Schedule, error) { return &Schedule{}, nil }
+
+// Promote takes the schedule and drops the proof's outcome.
+func Promote(u *Unverified) *Schedule {
+	s, _ := u.Verify() // want "unchecked-engine-err"
+	return s
+}
+
+// PromoteRight routes the outcome to its caller.
+func PromoteRight(u *Unverified) (*Schedule, error) {
+	return u.Verify()
+}

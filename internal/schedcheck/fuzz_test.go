@@ -230,7 +230,7 @@ func fuzzRepair(t *testing.T, g *topology.Graph, s *collective.Schedule, p *sche
 	if r := schedcheck.Check(p); !hasClass(r, schedcheck.ClassLink) {
 		t.Fatalf("schedule over dead channel %d went unnoticed: %s", dead, r.Summary())
 	}
-	repaired, rep, err := collective.RepairSchedule(s)
+	u, rep, err := collective.RepairSchedule(s, s.DownChannels(), nil)
 	if err != nil {
 		var ue *collective.UnrepairableError
 		if errors.As(err, &ue) {
@@ -240,6 +240,10 @@ func fuzzRepair(t *testing.T, g *topology.Graph, s *collective.Schedule, p *sche
 	}
 	if rep.Rerouted == 0 {
 		t.Fatalf("channel %d was used but repair rerouted nothing", dead)
+	}
+	repaired, err := u.Verify()
+	if err != nil {
+		t.Fatalf("repaired schedule failed delta verification: %v", err)
 	}
 	if r := schedcheck.Check(repaired.Program()); !r.OK() {
 		t.Fatalf("repaired schedule failed verification: %s", r.Err())
@@ -267,13 +271,13 @@ func fuzzIncrementalRepair(t *testing.T, g *topology.Graph, s *collective.Schedu
 	}
 	dead := used[int(pick)%len(used)]
 	g.KillChannel(dead)
-	patched, rep, err := collective.RepairScheduleIncremental(s, []topology.ChannelID{dead}, nil)
+	patched, rep, err := collective.RepairSchedule(s, []topology.ChannelID{dead}, nil)
 	if err != nil {
 		var ue *collective.UnrepairableError
 		if errors.As(err, &ue) {
 			t.Skip() // a legitimately unrepairable kill, not a verifier bug
 		}
-		t.Fatalf("RepairScheduleIncremental: %v", err)
+		t.Fatalf("RepairSchedule: %v", err)
 	}
 	pp := patched.Program()
 	spec := &schedcheck.PatchSpec{Base: p, OldToNew: rep.OldToNew, Touched: rep.Touched}

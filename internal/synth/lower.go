@@ -10,8 +10,8 @@ import (
 // full static verifier over the result. This is the lowering contract: no
 // schedule leaves the compiler unverified — structure, hazards, link
 // validity, conservation, and (because synthesized programs claim
-// in-order) the in-order proof all hold, or Lower fails. The synth-verify
-// lint rule holds every Assemble call site to this standard.
+// in-order) the in-order proof all hold, or Lower fails. Assemble returns
+// a collective.Unverified, so the verification cannot be skipped.
 func Lower(p *Program) (*collective.Schedule, error) {
 	spec := collective.AssembleSpec{
 		Graph:     p.Graph,
@@ -59,12 +59,13 @@ func Lower(p *Program) (*collective.Schedule, error) {
 		}
 		spec.Ops = append(spec.Ops, o)
 	}
-	s, err := collective.Assemble(spec)
+	u, err := collective.Assemble(spec)
 	if err != nil {
 		return nil, fmt.Errorf("synth: lower: %w", err)
 	}
-	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("synth: lowered schedule failed verification: %w", err)
+	s, err := u.Verify()
+	if err != nil {
+		return nil, fmt.Errorf("synth: lower: %w", err)
 	}
 	return s, nil
 }

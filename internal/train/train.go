@@ -293,11 +293,13 @@ func RunTracedCtx(ctx context.Context, cfg Config) (*Result, *des.Graph, error) 
 		}
 		revert := cfg.Faults.Apply(cfg.Graph)
 		defer revert()
-		repaired, _, err := collective.RepairSchedule(sched)
+		u, _, err := collective.RepairSchedule(sched, sched.DownChannels(), nil)
 		if err != nil {
 			return nil, nil, err
 		}
-		sched = repaired
+		if sched, err = u.Verify(); err != nil {
+			return nil, nil, err
+		}
 	}
 
 	// Standalone communication time and turnaround for the decomposition.
